@@ -47,18 +47,19 @@ use bs_faults::{
     ClusterChange, ClusterFaultEntry, ClusterFaultInjector, FaultPlan, LinkChange, LinkDir,
 };
 use bs_net::{
-    DroppedTransfer, Fabric, LoggedSubmit, NetEvent, NetPort, NodeId, ScopeWindow, SubmitLog,
+    DroppedTransfer, Fabric, LoggedSubmit, NetEvent, NetPort, NodeId, RecordSet, ScopeWindow,
+    SubmitLog,
 };
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_tune::RestartCost;
 
 use crate::contention::ContentionMatrix;
-use bs_runtime::job::{inner_tag, job_of_tag, wire_span_into_trace, MAX_JOBS};
+use bs_runtime::job::{harvest_wire_log, inner_tag, job_of_tag, MAX_JOBS};
 use bs_runtime::traffic::{BurstSource, BG_TAG};
 use bs_runtime::{
     net_window_event, JobEvent, JobNetStats, JobState, NodeMap, RunOutcome, WorldConfig,
 };
-use bs_sim::{SimTime, Trace, WorkerPool};
+use bs_sim::{SimTime, WorkerPool};
 use bs_telemetry::MetricSet;
 
 use crate::metrics::{jain_index, ClusterResult, JobOutcome, LinkUtil, MigrationRecord, NodeMove};
@@ -965,20 +966,15 @@ pub fn run_cluster_observed(
         injector.add_plan(plan);
     }
     let mut fabric = Fabric::new(cluster.fabric, cluster.machines.max(2), cluster.net);
-    if cluster.record_trace {
-        fabric.enable_trace();
-    }
-    if cluster.record_metrics {
-        fabric.enable_telemetry(SimTime::ZERO);
-    }
-    if cluster.record_xray {
-        fabric.enable_xray();
-    }
-    if cluster.record_contention {
+    let set = RecordSet {
+        lifecycles: cluster.record_trace || cluster.record_xray,
+        metrics: cluster.record_metrics,
+        scope: scope.as_deref().map(ScopeBus::window),
         // The tag namespace is the job extractor: bits 58.. of every
         // fabric tag name the owning job.
-        fabric.enable_contention(SimTime::ZERO, job_of_tag);
-    }
+        contention: cluster.record_contention.then_some(job_of_tag),
+    };
+    fabric.enable_recording(SimTime::ZERO, set);
 
     let mut jobs: Vec<ClusterJob> = specs
         .iter()
@@ -1063,8 +1059,7 @@ pub fn run_cluster_observed(
         })
         .collect();
 
-    if let Some(bus) = scope.as_deref_mut() {
-        fabric.enable_scope(SimTime::ZERO, bus.window());
+    if scope.is_some() {
         for (j, job) in jobs.iter_mut().enumerate() {
             if let ClusterJob::Train { state, arrival, .. } = job {
                 state.enable_scope(j, *arrival);
@@ -1135,14 +1130,12 @@ pub fn run_cluster_observed(
     };
     drop(par);
     let migrations: Vec<MigrationRecord> = fault_ctx.map(|fc| fc.migrations).unwrap_or_default();
+    let mut log = fabric.take_wire_log(makespan);
     if let Some(bus) = scope {
-        // Close the fabric's partial utilisation window and flush any
+        // Publish the fabric's final utilisation windows and flush any
         // straggling job events; the bus itself stays open (the caller
         // may chain further runs, e.g. replay waves, onto it).
-        fabric.finish_scope(makespan);
-        let mut wins = Vec::new();
-        fabric.drain_scope_windows(&mut wins);
-        for w in &wins {
+        for w in &log.scope_windows {
             bus.publish(net_window_event(w));
         }
         for job in jobs.iter_mut() {
@@ -1156,99 +1149,65 @@ pub fn run_cluster_observed(
         down_bytes,
         job_nic_bytes,
     } = acct;
-    // Demultiplex the fabric's transfer lifecycles by job id (stripping
-    // the namespace bits) and hand each training job its own — before the
-    // trace is assembled, since flow arrows point at wire-start instants.
-    if cluster.record_xray {
-        let mut per_job: Vec<Vec<bs_net::WireXrayRecord>> = vec![Vec::new(); jobs.len()];
-        for (tag, src, dst, submitted, started, released, delivered) in fabric.take_xray() {
-            per_job[job_of_tag(tag)].push((
-                inner_tag(tag),
-                src,
-                dst,
-                submitted,
-                started,
-                released,
-                delivered,
-            ));
-        }
-        for (j, job) in jobs.iter_mut().enumerate() {
-            if let ClusterJob::Train { state, .. } = job {
-                state.absorb_wire_xray(&per_job[j]);
-            }
-        }
-    }
-    let trace = cluster.record_trace.then(|| {
-        let mut trace = Trace::new();
-        for (j, job) in jobs.iter_mut().enumerate() {
-            if let ClusterJob::Train { state, .. } = job {
-                let prefix = format!("job{j}/");
-                state.append_compute_trace(&mut trace, &prefix);
-                state.append_ring_trace(&mut trace, &prefix);
-                state.append_xray_flows(&mut trace, &prefix);
-            }
-        }
-        for (tag, src, dst, start, end) in fabric.take_trace() {
-            let j = job_of_tag(tag);
-            let span = (inner_tag(tag), src, dst, start, end);
-            wire_span_into_trace(&mut trace, &span, &format!("job{j}/"));
-        }
-        trace
+    let contention = log.contention.take().map(|log| {
+        let names = specs.iter().map(|s| s.name().to_string()).collect();
+        ContentionMatrix::reduce(&log, makespan, names)
     });
+    // Cluster-level metrics: the shared fabric's telemetry plus each
+    // tenant's share of every NIC's delivered traffic.
+    let mut metrics = cluster.record_metrics.then(|| {
+        let mut ms = MetricSet::new();
+        ms.horizon = makespan;
+        ms
+    });
+    let mut tenants: Vec<Option<&mut JobState>> = jobs
+        .iter_mut()
+        .map(|job| match job {
+            ClusterJob::Train { state, .. } => Some(state),
+            ClusterJob::Burst { .. } => None,
+        })
+        .collect();
+    let mut trace = harvest_wire_log(
+        log,
+        &mut tenants,
+        |tag| (job_of_tag(tag), inner_tag(tag)),
+        |j| format!("job{j}/"),
+        cluster.record_trace,
+        &mut metrics,
+    );
 
     let peak_in_flight = fabric.peak_in_flight();
     let peak_port_utilisation = fabric.peak_port_utilisation(makespan);
     let fabric_events = fabric.transfers_delivered();
 
-    // Cluster-level metrics: the shared fabric's telemetry plus each
-    // tenant's share of every NIC's delivered traffic.
-    let mut metrics = cluster.record_metrics.then(MetricSet::new);
-    if let Some(ms) = metrics.as_mut() {
-        ms.horizon = makespan;
-        if let Some(fm) = fabric.take_metrics(makespan) {
-            ms.absorb("net/", fm);
-        }
-        if let Some(share) = &job_nic_bytes {
-            for (j, per_machine) in share.iter().enumerate() {
-                for (m, &(up, down)) in per_machine.iter().enumerate() {
-                    if up == 0 && down == 0 {
-                        continue;
-                    }
-                    ms.counter(format!("job{j}/nic{m}/up_bytes"), up);
-                    ms.counter(format!("job{j}/nic{m}/down_bytes"), down);
-                    let frac = |part: u64, total: u64| {
-                        if total > 0 {
-                            part as f64 / total as f64
-                        } else {
-                            0.0
-                        }
-                    };
-                    ms.gauge(format!("job{j}/nic{m}/up_share"), frac(up, up_bytes[m]));
-                    ms.gauge(
-                        format!("job{j}/nic{m}/down_share"),
-                        frac(down, down_bytes[m]),
-                    );
+    if let (Some(ms), Some(share)) = (metrics.as_mut(), &job_nic_bytes) {
+        for (j, per_machine) in share.iter().enumerate() {
+            for (m, &(up, down)) in per_machine.iter().enumerate() {
+                if up == 0 && down == 0 {
+                    continue;
                 }
+                ms.counter(format!("job{j}/nic{m}/up_bytes"), up);
+                ms.counter(format!("job{j}/nic{m}/down_bytes"), down);
+                let frac = |part: u64, total: u64| {
+                    if total > 0 {
+                        part as f64 / total as f64
+                    } else {
+                        0.0
+                    }
+                };
+                ms.gauge(format!("job{j}/nic{m}/up_share"), frac(up, up_bytes[m]));
+                ms.gauge(
+                    format!("job{j}/nic{m}/down_share"),
+                    frac(down, down_bytes[m]),
+                );
             }
-        }
-    }
-
-    let contention = fabric.take_contention().map(|log| {
-        let names = specs.iter().map(|s| s.name().to_string()).collect();
-        ContentionMatrix::reduce(&log, makespan, names)
-    });
-
-    let mut trace = trace;
-    if let (Some(trace), Some(ms)) = (trace.as_mut(), metrics.as_ref()) {
-        for t in ms.counter_tracks() {
-            trace.push_counter(t.name, t.samples);
         }
     }
 
     let mut outcomes: Vec<JobOutcome> = Vec::new();
     for (j, (spec, job)) in specs.iter().zip(jobs).enumerate() {
         let ClusterJob::Train {
-            state,
+            mut state,
             cfg,
             arrival,
             finished,
@@ -1266,7 +1225,11 @@ pub fn run_cluster_observed(
             peak_in_flight,
             peak_port_utilisation,
         };
-        let mut result = state.into_result(&cfg, finished_at, net);
+        let metrics = cfg
+            .record_metrics
+            .then(|| state.take_metrics(finished_at))
+            .flatten();
+        let mut result = state.into_result(&cfg, finished_at, net, metrics);
         // A migrated job finished, but not unscathed: surface each
         // checkpoint/migrate cycle as a reroute so the outcome can never
         // read as a clean completion.

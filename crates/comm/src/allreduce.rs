@@ -178,7 +178,9 @@ impl RingAllReduce {
 
     /// Enables op-span recording (see [`Self::take_trace`]).
     pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
+        if self.trace.is_none() {
+            self.trace = Some(Vec::new());
+        }
     }
 
     /// Drains the recorded op spans: `(tag, start, reduce-scatter end,

@@ -17,10 +17,11 @@
 //!   wire occupancy, so byte shares can be split into solo vs contended
 //!   time against the active-set series.
 //!
-//! Recording is strictly observational: the fabrics call the hooks from
-//! existing code paths and nothing feeds back, so enabling contention
-//! recording cannot change a single simulation event (pinned by the
-//! golden byte-identity tests).
+//! The recorder is one of the wire probe's sinks ([`crate::probe`]):
+//! the fabrics report submit, wire end, delivery and drop to the probe,
+//! which forwards them here. Recording is strictly observational and
+//! nothing feeds back, so enabling contention recording cannot change a
+//! single simulation event (pinned by the golden byte-identity tests).
 
 use bs_sim::SimTime;
 use bs_telemetry::SetSeries;
@@ -41,8 +42,8 @@ pub struct ContentionLog {
     pub occupancy: Vec<OccupancySpan>,
 }
 
-/// The per-fabric recorder; `Some` only while contention recording is
-/// enabled, mirroring the telemetry/trace/xray pattern.
+/// The per-fabric recorder, held by the wire probe while contention
+/// recording is enabled.
 #[derive(Clone, Debug)]
 pub struct ContentionRecorder {
     job_of: fn(u64) -> usize,

@@ -7,6 +7,9 @@ use serde::Serialize;
 
 use crate::fluid::FluidNetwork;
 use crate::network::{DroppedTransfer, NetEvent, Network, NodeId, TransferId};
+use crate::port::NetPort;
+use crate::probe::{RecordSet, WireLog};
+use crate::scope::ScopeWindow;
 use crate::transport::NetConfig;
 
 /// Which sharing discipline the point-to-point fabric uses.
@@ -20,13 +23,24 @@ pub enum FabricModel {
     FairShare,
 }
 
-/// A point-to-point fabric of either discipline.
+/// A point-to-point fabric of either discipline. Event-loop calls go
+/// through its [`NetPort`] implementation.
 #[derive(Clone, Debug)]
 pub enum Fabric {
     /// FIFO fabric.
     Fifo(Network),
     /// Fluid fabric.
     Fluid(FluidNetwork),
+}
+
+/// Forwards one call to whichever fabric `$self` holds.
+macro_rules! dispatch {
+    ($self:expr, $n:ident => $call:expr) => {
+        match $self {
+            Fabric::Fifo($n) => $call,
+            Fabric::Fluid($n) => $call,
+        }
+    };
 }
 
 impl Fabric {
@@ -38,91 +52,24 @@ impl Fabric {
         }
     }
 
-    /// Submits a transfer (see the variants' docs for semantics).
-    #[inline]
-    pub fn submit(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        tag: u64,
-    ) -> TransferId {
-        match self {
-            Fabric::Fifo(n) => n.submit(now, src, dst, bytes, tag),
-            Fabric::Fluid(n) => n.submit(now, src, dst, bytes, tag),
-        }
-    }
-
-    /// Earliest instant anything changes.
-    #[inline]
-    pub fn next_event_time(&self) -> SimTime {
-        match self {
-            Fabric::Fifo(n) => n.next_event_time(),
-            Fabric::Fluid(n) => n.next_event_time(),
-        }
-    }
-
     /// Processes everything up to `now`.
     pub fn advance(&mut self, now: SimTime) -> Vec<NetEvent> {
-        match self {
-            Fabric::Fifo(n) => n.advance(now),
-            Fabric::Fluid(n) => n.advance(now),
-        }
-    }
-
-    /// Like [`Self::advance`] but appends into a caller-provided buffer.
-    #[inline]
-    pub fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
-        match self {
-            Fabric::Fifo(n) => n.advance_into(now, out),
-            Fabric::Fluid(n) => n.advance_into(now, out),
-        }
-    }
-
-    /// True when `advance(now)` could change fabric state or emit events;
-    /// the event loop skips the call otherwise. The fluid fabric must
-    /// still integrate every tick while flows are active (see
-    /// [`FluidNetwork::wants_advance`]); the FIFO fabric only changes at
-    /// its scheduled release/delivery instants.
-    #[inline]
-    pub fn wants_advance(&self, now: SimTime) -> bool {
-        match self {
-            Fabric::Fifo(n) => n.next_event_time() <= now,
-            Fabric::Fluid(n) => n.wants_advance(now),
-        }
+        dispatch!(self, n => n.advance(now))
     }
 
     /// Total payload bytes delivered so far.
     pub fn bytes_delivered(&self) -> u64 {
-        match self {
-            Fabric::Fifo(n) => n.bytes_delivered(),
-            Fabric::Fluid(n) => n.bytes_delivered(),
-        }
-    }
-
-    /// Transfers currently occupying wires.
-    pub fn in_flight(&self) -> usize {
-        match self {
-            Fabric::Fifo(n) => n.in_flight(),
-            Fabric::Fluid(n) => n.in_flight(),
-        }
+        dispatch!(self, n => n.bytes_delivered())
     }
 
     /// Transfers delivered end-to-end so far.
     pub fn transfers_delivered(&self) -> u64 {
-        match self {
-            Fabric::Fifo(n) => n.transfers_delivered(),
-            Fabric::Fluid(n) => n.transfers_delivered(),
-        }
+        dispatch!(self, n => n.transfers_delivered())
     }
 
     /// Highest number of simultaneously active transfers seen so far.
     pub fn peak_in_flight(&self) -> usize {
-        match self {
-            Fabric::Fifo(n) => n.peak_in_flight(),
-            Fabric::Fluid(n) => n.peak_in_flight(),
-        }
+        dispatch!(self, n => n.peak_in_flight())
     }
 
     /// Peak port utilisation over `makespan`: the busiest single NIC
@@ -141,186 +88,21 @@ impl Fabric {
             .fold(0.0, f64::max)
     }
 
-    /// Starts recording metric series (per-port utilisation, active and
-    /// queued transfers). Recording never changes fabric behaviour.
-    pub fn enable_telemetry(&mut self, now: SimTime) {
-        match self {
-            Fabric::Fifo(n) => n.enable_telemetry(now),
-            Fabric::Fluid(n) => n.enable_telemetry(now),
-        }
-    }
-
-    /// Takes the recorded metrics with summaries closed at `now`, or
-    /// `None` if telemetry was never enabled. Both disciplines export the
-    /// same metric names; FIFO port utilisation is busy/idle (0 or 1),
-    /// fluid port utilisation is the allocated-rate fraction.
-    pub fn take_metrics(&mut self, now: SimTime) -> Option<bs_telemetry::MetricSet> {
-        match self {
-            Fabric::Fifo(n) => n.take_metrics(now),
-            Fabric::Fluid(n) => n.take_metrics(now),
-        }
-    }
-
-    /// Starts aggregating NIC utilisation into grid-aligned tumbling
-    /// windows of `window` for the scope bus. Recording never changes
-    /// fabric behaviour.
-    pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
-        match self {
-            Fabric::Fifo(n) => n.enable_scope(now, window),
-            Fabric::Fluid(n) => n.enable_scope(now, window),
-        }
-    }
-
-    /// Integrates the scope windows up to `now` and closes the final
-    /// partial window.
-    pub fn finish_scope(&mut self, now: SimTime) {
-        match self {
-            Fabric::Fifo(n) => n.finish_scope(now),
-            Fabric::Fluid(n) => n.finish_scope(now),
-        }
-    }
-
-    /// Moves closed scope windows into `out`, oldest first.
-    pub fn drain_scope_windows(&mut self, out: &mut Vec<crate::scope::ScopeWindow>) {
-        match self {
-            Fabric::Fifo(n) => n.drain_scope_windows(out),
-            Fabric::Fluid(n) => n.drain_scope_windows(out),
-        }
-    }
-
-    /// Enables span recording. The FIFO fabric records exclusive wire
-    /// occupancies (start → release); the fluid fabric records flow
-    /// lifetimes (submit → drain), which may overlap.
-    pub fn enable_trace(&mut self) {
-        match self {
-            Fabric::Fifo(n) => n.enable_trace(),
-            Fabric::Fluid(n) => n.enable_trace(),
-        }
-    }
-
-    /// Drains recorded spans: `(tag, src, dst, start, end)`.
-    pub fn take_trace(&mut self) -> Vec<crate::network::WireSpan> {
-        match self {
-            Fabric::Fifo(n) => n.take_trace(),
-            Fabric::Fluid(n) => n.take_trace(),
-        }
-    }
-
-    /// Enables full-lifecycle transfer recording for causal tracing.
+    /// Starts the recorders in `set`, replacing any earlier recording.
     /// Recording never changes fabric behaviour.
-    pub fn enable_xray(&mut self) {
-        match self {
-            Fabric::Fifo(n) => n.enable_xray(),
-            Fabric::Fluid(n) => n.enable_xray(),
-        }
+    pub fn enable_recording(&mut self, now: SimTime, set: RecordSet) {
+        dispatch!(self, n => n.enable_recording(now, set))
     }
 
-    /// Drains recorded transfer lifecycles:
-    /// `(tag, src, dst, submitted, wire_start, released, delivered)`.
-    /// The fluid fabric starts flows at submission, so its records have
-    /// `submitted == wire_start`.
-    pub fn take_xray(&mut self) -> Vec<crate::network::WireXrayRecord> {
-        match self {
-            Fabric::Fifo(n) => n.take_xray(),
-            Fabric::Fluid(n) => n.take_xray(),
-        }
-    }
-
-    /// Starts recording per-NIC-direction active-job sets and occupancy
-    /// spans; `job_of` maps a transfer tag to its job index (the cluster
-    /// driver passes the tag-namespace extractor). Recording never
-    /// changes fabric behaviour.
-    pub fn enable_contention(&mut self, now: SimTime, job_of: fn(u64) -> usize) {
-        match self {
-            Fabric::Fifo(n) => n.enable_contention(now, job_of),
-            Fabric::Fluid(n) => n.enable_contention(now, job_of),
-        }
-    }
-
-    /// Drains the contention recording, or `None` if it was never
-    /// enabled.
-    pub fn take_contention(&mut self) -> Option<crate::contention::ContentionLog> {
-        match self {
-            Fabric::Fifo(n) => n.take_contention(),
-            Fabric::Fluid(n) => n.take_contention(),
-        }
-    }
-
-    /// Rescales one NIC direction's capacity to `scale` × nominal at
-    /// `now`. In-flight transfers keep their progress: the FIFO fabric
-    /// stretches the occupant's remaining occupancy, the fluid fabric
-    /// refits all flow rates. Use [`Self::kill_port`] for outages — a
-    /// zero scale is rejected.
-    pub fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
-        match self {
-            Fabric::Fifo(n) => n.set_port_scale(now, node, up, scale),
-            Fabric::Fluid(n) => n.set_port_scale(now, node, up, scale),
-        }
-    }
-
-    /// Flaps `node` down at `now`, killing the transfers currently on its
-    /// ports; returns them so the caller can recover (reclaim credit,
-    /// retransmit). Transfers past wire release / drain still deliver.
-    pub fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        match self {
-            Fabric::Fifo(n) => n.kill_port(now, node),
-            Fabric::Fluid(n) => n.kill_port(now, node),
-        }
-    }
-
-    /// Brings `node` back up at `now` and resumes service through it.
-    pub fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        match self {
-            Fabric::Fifo(n) => n.revive_port(now, node),
-            Fabric::Fluid(n) => n.revive_port(now, node),
-        }
-    }
-
-    /// Cancels every pending transfer whose tag matches `pred` — queued,
-    /// on the wire, or awaiting delivery — and returns them; no port
-    /// goes down. The cluster driver purges a migrating job's traffic
-    /// this way.
-    pub fn cancel_where(
-        &mut self,
-        now: SimTime,
-        pred: &mut dyn FnMut(u64) -> bool,
-    ) -> Vec<DroppedTransfer> {
-        match self {
-            Fabric::Fifo(n) => n.cancel_where(now, pred),
-            Fabric::Fluid(n) => n.cancel_where(now, pred),
-        }
-    }
-
-    /// Debug helper; see [`Network::debug_stalled`].
-    pub fn debug_stalled(&self) -> Vec<(usize, usize, u64, bool, bool)> {
-        match self {
-            Fabric::Fifo(n) => n.debug_stalled(),
-            Fabric::Fluid(_) => Vec::new(),
-        }
-    }
-
-    /// Transfers submitted but not yet on the wire.
-    pub fn queued(&self) -> usize {
-        match self {
-            Fabric::Fifo(n) => n.queued(),
-            // Fluid flows start immediately; nothing ever queues.
-            Fabric::Fluid(_) => 0,
-        }
-    }
-
-    /// Calls `f` with the tag of every pending transfer (queued, on the
-    /// wire, or awaiting delivery). Tags may repeat; callers fold the
-    /// stream into a set or bitmask. The parallel cluster driver uses
-    /// this to find jobs with nothing at stake on the shared fabric.
-    pub fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        match self {
-            Fabric::Fifo(n) => n.for_each_pending_tag(f),
-            Fabric::Fluid(n) => n.for_each_pending_tag(f),
-        }
+    /// Ends recording and takes everything recorded, with metric
+    /// summaries and the final scope window closed at `now` (see
+    /// [`WireLog`]).
+    pub fn take_wire_log(&mut self, now: SimTime) -> WireLog {
+        dispatch!(self, n => n.take_wire_log(now))
     }
 }
 
-impl crate::port::NetPort for Fabric {
+impl NetPort for Fabric {
     #[inline]
     fn submit(
         &mut self,
@@ -330,34 +112,40 @@ impl crate::port::NetPort for Fabric {
         bytes: u64,
         tag: u64,
     ) -> TransferId {
-        Fabric::submit(self, now, src, dst, bytes, tag)
+        dispatch!(self, n => n.submit(now, src, dst, bytes, tag))
     }
 
     #[inline]
     fn next_event_time(&self) -> SimTime {
-        Fabric::next_event_time(self)
+        dispatch!(self, n => n.next_event_time())
     }
 
+    /// The fluid fabric must still integrate every tick while flows are
+    /// active (see [`FluidNetwork::wants_advance`]); the FIFO fabric only
+    /// changes at its scheduled release/delivery instants.
     #[inline]
     fn wants_advance(&self, now: SimTime) -> bool {
-        Fabric::wants_advance(self, now)
+        dispatch!(self, n => NetPort::wants_advance(n, now))
     }
 
     #[inline]
     fn advance_into(&mut self, now: SimTime, out: &mut Vec<NetEvent>) {
-        Fabric::advance_into(self, now, out)
+        dispatch!(self, n => n.advance_into(now, out))
     }
 
+    /// In-flight transfers keep their progress: the FIFO fabric stretches
+    /// the occupant's remaining occupancy, the fluid fabric refits all
+    /// flow rates.
     fn set_port_scale(&mut self, now: SimTime, node: NodeId, up: bool, scale: f64) {
-        Fabric::set_port_scale(self, now, node, up, scale)
+        dispatch!(self, n => n.set_port_scale(now, node, up, scale))
     }
 
     fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
-        Fabric::kill_port(self, now, node)
+        dispatch!(self, n => n.kill_port(now, node))
     }
 
     fn revive_port(&mut self, now: SimTime, node: NodeId) {
-        Fabric::revive_port(self, now, node)
+        dispatch!(self, n => n.revive_port(now, node))
     }
 
     fn cancel_where(
@@ -365,27 +153,27 @@ impl crate::port::NetPort for Fabric {
         now: SimTime,
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
-        Fabric::cancel_where(self, now, pred)
+        dispatch!(self, n => n.cancel_where(now, pred))
     }
 
     fn for_each_pending_tag(&self, f: &mut dyn FnMut(u64)) {
-        Fabric::for_each_pending_tag(self, f)
+        dispatch!(self, n => n.for_each_pending_tag(f))
     }
 
     fn in_flight(&self) -> usize {
-        Fabric::in_flight(self)
+        dispatch!(self, n => n.in_flight())
     }
 
     fn queued(&self) -> usize {
-        Fabric::queued(self)
+        dispatch!(self, n => NetPort::queued(n))
     }
 
     fn debug_stalled(&self) -> Vec<(usize, usize, u64, bool, bool)> {
-        Fabric::debug_stalled(self)
+        dispatch!(self, n => NetPort::debug_stalled(n))
     }
 
-    fn drain_scope_windows(&mut self, out: &mut Vec<crate::scope::ScopeWindow>) {
-        Fabric::drain_scope_windows(self, out)
+    fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
+        dispatch!(self, n => n.drain_scope_windows(out))
     }
 }
 

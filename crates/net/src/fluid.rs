@@ -21,13 +21,11 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use bs_sim::SimTime;
-use bs_telemetry::{MetricSet, TimeSeries};
 
-use crate::contention::{ContentionLog, ContentionRecorder};
-use crate::network::{
-    CompletedTransfer, DroppedTransfer, NetEvent, NodeId, TransferId, WireSpan, WireXrayRecord,
-};
-use crate::scope::{ScopeUtil, ScopeWindow};
+use crate::fabric::FabricModel;
+use crate::network::{CompletedTransfer, DroppedTransfer, NetEvent, NodeId, TransferId};
+use crate::probe::{RecordSet, WireLog, WireProbe};
+use crate::scope::ScopeWindow;
 use crate::transport::NetConfig;
 
 /// Fault-injection state, allocated lazily on the first fault hook call
@@ -55,7 +53,7 @@ struct Flow {
     remaining: f64,
     /// Current max-min fair rate, bytes/sec.
     rate: f64,
-    /// Submission instant, recorded for flow-span tracing.
+    /// Submission instant: a flow starts transmitting when submitted.
     started_at: SimTime,
 }
 
@@ -88,13 +86,6 @@ pub struct FluidNetwork {
     transfers_delivered: u64,
     /// High-water mark of concurrently active flows.
     peak_in_flight: usize,
-    /// When enabled, completed flow spans: `(tag, src, dst, submit,
-    /// drain)`. Unlike the FIFO fabric's exclusive wire occupancies,
-    /// fluid spans overlap — each covers a flow's whole lifetime.
-    trace: Option<Vec<WireSpan>>,
-    /// When enabled, full flow lifecycles for causal tracing. A fluid
-    /// flow starts at submission, so submitted == wire-start.
-    xray: Option<Vec<WireXrayRecord>>,
     /// Scratch buffers reused across `reallocate`/`advance` calls so the
     /// hot path performs no allocation.
     scratch_frozen: Vec<bool>,
@@ -102,26 +93,10 @@ pub struct FluidNetwork {
     scratch_port_live: Vec<u32>,
     scratch_ids: Vec<TransferId>,
     scratch_finished: Vec<TransferId>,
-    /// `Some` only while metrics recording is enabled.
-    telem: Option<FluidTelemetry>,
-    /// `Some` only while the scope bus records NIC-utilisation windows.
-    scope: Option<Box<ScopeUtil>>,
-    /// `Some` only while link-contention recording is enabled.
-    contention: Option<Box<ContentionRecorder>>,
+    /// `Some` only while something is recorded.
+    probe: Option<Box<WireProbe>>,
     /// `Some` only once a fault hook has been exercised.
     faults: Option<Box<FaultState>>,
-}
-
-/// Metric series for the fluid fabric. Per-port utilisation is the
-/// allocated-rate sum over capacity (a fraction in `[0, 1]`), resampled
-/// after every reallocation — the exact step function the max-min
-/// allocator produces, not a polled approximation.
-#[derive(Clone, Debug)]
-struct FluidTelemetry {
-    /// Up ports `0..n`, down ports `n..2n`, matching `port_flows`.
-    port_util: Vec<TimeSeries>,
-    /// Concurrently active flows.
-    active_flows: TimeSeries,
 }
 
 impl FluidNetwork {
@@ -141,113 +116,41 @@ impl FluidNetwork {
             bytes_delivered: 0,
             transfers_delivered: 0,
             peak_in_flight: 0,
-            trace: None,
-            xray: None,
             scratch_frozen: Vec::new(),
             scratch_port_cap: Vec::new(),
             scratch_port_live: Vec::new(),
             scratch_ids: Vec::new(),
             scratch_finished: Vec::new(),
-            telem: None,
-            scope: None,
-            contention: None,
+            probe: None,
             faults: None,
         }
     }
 
-    /// Starts recording per-port utilisation and active-flow series.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_telemetry(&mut self, now: SimTime) {
-        if self.telem.is_none() {
-            let mut zero = TimeSeries::new();
-            zero.record(now, 0.0);
-            self.telem = Some(FluidTelemetry {
-                port_util: vec![zero.clone(); 2 * self.num_nodes],
-                active_flows: zero,
-            });
-        }
-    }
-
-    /// Starts aggregating NIC utilisation (allocated-rate fractions) into
-    /// grid-aligned tumbling windows of `window` for the scope bus, fed
-    /// from the same reallocation instants as the telemetry series.
-    /// Recording never changes fabric behaviour.
-    ///
-    /// One aggregate slot, not one per direction: a window's `util_secs`
-    /// sums over every port direction anyway, and each flow contributes
-    /// its rate to exactly two slots (source up, destination down), so
-    /// integrating `2 * total_rate / cap` directly is the same signal at
-    /// a fraction of the per-reallocation cost.
-    pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
-        if self.scope.is_none() {
-            self.scope = Some(Box::new(ScopeUtil::new(now, 1, window)));
-        }
-    }
-
-    /// Integrates the scope windows up to `now` and closes the final
-    /// partial window (publish by draining afterwards).
-    pub fn finish_scope(&mut self, now: SimTime) {
-        if let Some(sc) = self.scope.as_mut() {
-            sc.finish(now);
-        }
+    /// Starts the recorders in `set` (see [`RecordSet`]), replacing any
+    /// earlier recording. Per-port
+    /// utilisation is the allocated-rate sum over capacity (a fraction in
+    /// `[0, 1]`), resampled after every reallocation — the exact step
+    /// function the max-min allocator produces, not a polled
+    /// approximation. Lifecycles cover each flow's whole life, so unlike
+    /// the FIFO fabric's exclusive wire occupancies, fluid wire spans
+    /// overlap. Recording never changes fabric behaviour.
+    pub fn enable_recording(&mut self, now: SimTime, set: RecordSet) {
+        self.probe = WireProbe::new(now, self.num_nodes, FabricModel::FairShare, set);
     }
 
     /// Moves closed scope windows into `out`, oldest first.
     pub fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
-        if let Some(sc) = self.scope.as_mut() {
-            sc.drain_into(out);
+        if let Some(p) = self.probe.as_mut() {
+            p.drain_scope_windows(out);
         }
     }
 
-    /// Takes the recorded metrics with summaries closed at `now`, or
-    /// `None` if telemetry was never enabled.
-    pub fn take_metrics(&mut self, now: SimTime) -> Option<MetricSet> {
-        let t = self.telem.take()?;
-        let n = self.num_nodes;
-        let mut set = MetricSet::new();
-        set.horizon = now;
-        set.counter("transfers_delivered", self.transfers_delivered);
-        set.counter("bytes_delivered", self.bytes_delivered);
-        set.series("active_transfers", t.active_flows);
-        // Fluid flows start transmitting on submission; nothing ever
-        // queues. Kept as a constant-zero series so both fabrics export
-        // the same metric names.
-        let mut zero = TimeSeries::new();
-        zero.record(SimTime::ZERO, 0.0);
-        set.series("queued_transfers", zero);
-        let mut ports = t.port_util.into_iter();
-        for i in 0..n {
-            set.series(
-                format!("nic{i}/up_util"),
-                ports.next().expect("up port series"),
-            );
-        }
-        for i in 0..n {
-            set.series(
-                format!("nic{i}/down_util"),
-                ports.next().expect("down port series"),
-            );
-        }
-        Some(set)
-    }
-
-    /// Starts recording per-NIC-direction active-job sets and flow
-    /// spans; `job_of` maps a transfer tag to its job index. Recording
-    /// never changes fabric behaviour.
-    pub fn enable_contention(&mut self, now: SimTime, job_of: fn(u64) -> usize) {
-        if self.contention.is_none() {
-            self.contention = Some(Box::new(ContentionRecorder::new(
-                now,
-                self.num_nodes,
-                job_of,
-            )));
-        }
-    }
-
-    /// Drains the contention recording, or `None` if it was never
-    /// enabled.
-    pub fn take_contention(&mut self) -> Option<ContentionLog> {
-        self.contention.as_mut().map(|c| c.take())
+    /// Ends recording and takes everything recorded, with metric
+    /// summaries and the final scope window closed at `now`.
+    pub fn take_wire_log(&mut self, now: SimTime) -> WireLog {
+        self.probe.take().map_or_else(WireLog::default, |p| {
+            p.into_log(now, self.transfers_delivered, self.bytes_delivered)
+        })
     }
 
     /// The network configuration.
@@ -263,30 +166,6 @@ impl FluidNetwork {
     /// Transfers delivered end-to-end so far.
     pub fn transfers_delivered(&self) -> u64 {
         self.transfers_delivered
-    }
-
-    /// Enables flow-span recording (see [`Self::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Drains the recorded spans: `(tag, src, dst, submit, drain)` per
-    /// completed flow, in drain order.
-    pub fn take_trace(&mut self) -> Vec<WireSpan> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Enables full-lifecycle flow recording for causal tracing.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_xray(&mut self) {
-        if self.xray.is_none() {
-            self.xray = Some(Vec::new());
-        }
-    }
-
-    /// Drains the recorded flow lifecycles, in drain order.
-    pub fn take_xray(&mut self) -> Vec<WireXrayRecord> {
-        self.xray.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Number of flows currently transmitting.
@@ -352,8 +231,8 @@ impl FluidNetwork {
         self.port_flows[src.0].push(id);
         self.port_flows[self.num_nodes + dst.0].push(id);
         self.peak_in_flight = self.peak_in_flight.max(self.active.len());
-        if let Some(c) = self.contention.as_mut() {
-            c.on_submit(now, src.0, dst.0, tag);
+        if let Some(p) = self.probe.as_mut() {
+            p.submit(now, src.0, dst.0, tag);
         }
         self.reallocate();
         id
@@ -428,8 +307,8 @@ impl FluidNetwork {
                     debug_assert_eq!(dt, c.finished_at);
                     self.bytes_delivered += c.bytes;
                     self.transfers_delivered += 1;
-                    if let Some(rec) = self.contention.as_mut() {
-                        rec.on_delivered(dt, c.src.0, c.dst.0, c.tag);
+                    if let Some(p) = self.probe.as_mut() {
+                        p.delivered(dt, c.src.0, c.dst.0, c.tag);
                     }
                     out.push(NetEvent::Delivered(c));
                     continue;
@@ -458,22 +337,9 @@ impl FluidNetwork {
                 self.free_slots.push(id.0);
                 self.port_flows[f.src.0].retain(|x| *x != id);
                 self.port_flows[self.num_nodes + f.dst.0].retain(|x| *x != id);
-                if let Some(trace) = &mut self.trace {
-                    trace.push((f.tag, f.src.0, f.dst.0, f.started_at, next));
-                }
-                if let Some(xray) = &mut self.xray {
-                    xray.push((
-                        f.tag,
-                        f.src.0,
-                        f.dst.0,
-                        f.started_at,
-                        f.started_at,
-                        next,
-                        next + latency,
-                    ));
-                }
-                if let Some(rec) = self.contention.as_mut() {
-                    rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, next);
+                if let Some(p) = self.probe.as_mut() {
+                    let (src, dst, at) = (f.src.0, f.dst.0, f.started_at);
+                    p.wire_end((f.tag, src, dst, at, at, next, next + latency), f.bytes);
                 }
                 let done = CompletedTransfer {
                     id,
@@ -534,47 +400,7 @@ impl FluidNetwork {
         assert!(node.0 < self.num_nodes, "node {node:?} out of range");
         self.integrate_to(now);
         self.fault_state().down[node.0] = true;
-        let mut victims = std::mem::take(&mut self.scratch_finished);
-        victims.clear();
-        victims.extend(self.active.iter().copied().filter(|id| {
-            let f = self.flows[id.0 as usize].as_ref().expect("active flow");
-            f.src == node || f.dst == node
-        }));
-        let mut dropped = Vec::with_capacity(victims.len());
-        for id in victims.drain(..) {
-            let f = self.flows[id.0 as usize].take().expect("victim flow");
-            self.active.retain(|x| *x != id);
-            self.free_slots.push(id.0);
-            self.port_flows[f.src.0].retain(|x| *x != id);
-            self.port_flows[self.num_nodes + f.dst.0].retain(|x| *x != id);
-            if let Some(trace) = &mut self.trace {
-                trace.push((f.tag, f.src.0, f.dst.0, f.started_at, now));
-            }
-            if let Some(xray) = &mut self.xray {
-                // Killed at now; the retransmit shows up as a separate
-                // record.
-                xray.push((
-                    f.tag,
-                    f.src.0,
-                    f.dst.0,
-                    f.started_at,
-                    f.started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(rec) = self.contention.as_mut() {
-                rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, now);
-                rec.on_dropped(now, f.src.0, f.dst.0, f.tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag: f.tag,
-                src: f.src,
-                dst: f.dst,
-                bytes: f.bytes,
-            });
-        }
-        self.scratch_finished = victims;
+        let dropped = self.abort(now, &mut |src, dst, _| src == node || dst == node, false);
         self.reallocate();
         dropped
     }
@@ -590,14 +416,28 @@ impl FluidNetwork {
         pred: &mut dyn FnMut(u64) -> bool,
     ) -> Vec<DroppedTransfer> {
         self.integrate_to(now);
+        let dropped = self.abort(now, &mut |_, _, tag| pred(tag), true);
+        self.reallocate();
+        dropped
+    }
+
+    /// Drops every pending transfer `hit(src, dst, tag)` selects at `now`
+    /// and returns them; the fabric's one drop record site. Active flows
+    /// leave the wire; with `delivering`, drained flows awaiting delivery
+    /// are purged too (their deliveries never fire). The caller
+    /// reallocates afterwards.
+    fn abort(
+        &mut self,
+        now: SimTime,
+        hit: &mut dyn FnMut(NodeId, NodeId, u64) -> bool,
+        delivering: bool,
+    ) -> Vec<DroppedTransfer> {
         let mut victims = std::mem::take(&mut self.scratch_finished);
         victims.clear();
-        victims.extend(
-            self.active
-                .iter()
-                .copied()
-                .filter(|id| pred(self.flows[id.0 as usize].as_ref().expect("active flow").tag)),
-        );
+        victims.extend(self.active.iter().copied().filter(|id| {
+            let f = self.flows[id.0 as usize].as_ref().expect("active flow");
+            hit(f.src, f.dst, f.tag)
+        }));
         let mut dropped = Vec::with_capacity(victims.len());
         for id in victims.drain(..) {
             let f = self.flows[id.0 as usize].take().expect("victim flow");
@@ -605,23 +445,12 @@ impl FluidNetwork {
             self.free_slots.push(id.0);
             self.port_flows[f.src.0].retain(|x| *x != id);
             self.port_flows[self.num_nodes + f.dst.0].retain(|x| *x != id);
-            if let Some(trace) = &mut self.trace {
-                trace.push((f.tag, f.src.0, f.dst.0, f.started_at, now));
-            }
-            if let Some(xray) = &mut self.xray {
-                xray.push((
-                    f.tag,
-                    f.src.0,
-                    f.dst.0,
-                    f.started_at,
-                    f.started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(rec) = self.contention.as_mut() {
-                rec.on_wire(f.src.0, f.dst.0, f.tag, f.bytes, f.started_at, now);
-                rec.on_dropped(now, f.src.0, f.dst.0, f.tag);
+            if let Some(p) = self.probe.as_mut() {
+                // Killed at now; the retransmit shows up as a separate
+                // record.
+                let (src, dst, at) = (f.src.0, f.dst.0, f.started_at);
+                p.wire_end((f.tag, src, dst, at, at, now, now), f.bytes);
+                p.dropped(now, src, dst, f.tag, false);
             }
             dropped.push(DroppedTransfer {
                 tag: f.tag,
@@ -631,28 +460,23 @@ impl FluidNetwork {
             });
         }
         self.scratch_finished = victims;
-        // Drained flows awaiting delivery: their deliveries never fire.
-        let mut purged = Vec::new();
-        self.deliveries.retain(|(_, c)| {
-            if pred(c.tag) {
-                purged.push(*c);
+        if delivering {
+            self.deliveries.retain(|&(_, c)| {
+                if !hit(c.src, c.dst, c.tag) {
+                    return true;
+                }
+                if let Some(p) = self.probe.as_mut() {
+                    p.dropped(now, c.src.0, c.dst.0, c.tag, false);
+                }
+                dropped.push(DroppedTransfer {
+                    tag: c.tag,
+                    src: c.src,
+                    dst: c.dst,
+                    bytes: c.bytes,
+                });
                 false
-            } else {
-                true
-            }
-        });
-        for c in purged {
-            if let Some(rec) = self.contention.as_mut() {
-                rec.on_dropped(now, c.src.0, c.dst.0, c.tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag: c.tag,
-                src: c.src,
-                dst: c.dst,
-                bytes: c.bytes,
             });
         }
-        self.reallocate();
         dropped
     }
 
@@ -721,8 +545,8 @@ impl FluidNetwork {
             self.scratch_port_live[p] = flows.len() as u32;
         }
         let mut remaining_unfrozen = self.active.len();
-        // Total allocated rate, accumulated as flows freeze so the scope
-        // hook below never has to rescan the active set.
+        // Total allocated rate, accumulated as flows freeze so the probe
+        // below never has to rescan the active set.
         let mut total_rate = 0.0;
         let mut assigned = 0usize;
         while remaining_unfrozen > 0 {
@@ -767,33 +591,24 @@ impl FluidNetwork {
             self.scratch_port_cap[port] = 0.0;
             self.scratch_ids = ids;
         }
-        if let Some(te) = self.telem.as_mut() {
-            // `last_update` is the allocation instant: every caller
-            // integrates to "now" before reallocating.
-            let at = self.last_update;
-            for (p, flows) in self.port_flows.iter().enumerate() {
-                let rate: f64 = flows
-                    .iter()
-                    .map(|id| self.flows[id.0 as usize].as_ref().expect("active").rate)
-                    .sum();
-                te.port_util[p].record(at, rate / cap);
-            }
-            te.active_flows.record(at, self.active.len() as f64);
-        }
-        if let Some(sc) = self.scope.as_mut() {
-            // Every flow's rate lands on exactly two port directions (see
-            // `enable_scope`), so the waterfill's running total is the
-            // whole signal. The rescan fallback only covers the defensive
-            // break above, where flows may keep an older rate.
+        if let Some(p) = self.probe.as_mut() {
+            // Every flow's rate lands on exactly two port directions, so
+            // the waterfill's running total is the scope signal. The
+            // rescan fallback only covers the defensive break above,
+            // where flows may keep an older rate.
+            let flows = &self.flows;
+            let rate = |id: &TransferId| flows[id.0 as usize].as_ref().expect("active").rate;
             let total = if assigned == self.active.len() {
                 total_rate
             } else {
-                self.active
-                    .iter()
-                    .map(|id| self.flows[id.0 as usize].as_ref().expect("active").rate)
-                    .sum()
+                self.active.iter().map(rate).sum()
             };
-            sc.record(self.last_update, 0, 2.0 * total / cap);
+            let port_flows = &self.port_flows;
+            // `last_update` is the allocation instant: every caller
+            // integrates to "now" before reallocating.
+            p.realloc(self.last_update, cap, self.active.len(), total, |port| {
+                port_flows[port].iter().map(rate).sum()
+            });
         }
     }
 

@@ -24,6 +24,7 @@ pub mod fabric;
 pub mod fluid;
 pub mod network;
 pub mod port;
+pub mod probe;
 pub mod scope;
 pub mod transport;
 
@@ -35,5 +36,6 @@ pub use network::{
     WireXrayRecord,
 };
 pub use port::{LoggedSubmit, NetPort, SubmitLog};
+pub use probe::{RecordSet, WireLog};
 pub use scope::ScopeWindow;
 pub use transport::{NetConfig, Transport};

@@ -4,11 +4,11 @@ use std::cell::Cell;
 use std::collections::{BTreeSet, VecDeque};
 
 use bs_sim::SimTime;
-use bs_telemetry::{MetricSet, TimeSeries};
 use serde::{Deserialize, Serialize};
 
-use crate::contention::{ContentionLog, ContentionRecorder};
-use crate::scope::{ScopeUtil, ScopeWindow};
+use crate::fabric::FabricModel;
+use crate::probe::{RecordSet, WireLog, WireProbe};
+use crate::scope::ScopeWindow;
 use crate::transport::NetConfig;
 
 /// A recorded wire occupancy: `(tag, src, dst, start, end)`.
@@ -81,9 +81,9 @@ struct Transfer {
     tag: u64,
     /// True once the transfer occupies its two ports.
     started: bool,
-    /// Wire-occupancy start, for trace recording.
+    /// Wire-occupancy start.
     started_at: SimTime,
-    /// Submission instant, for xray recording.
+    /// Submission instant, for lifecycle recording.
     submitted_at: SimTime,
     /// Scheduled wire-release instant (valid while on the wire); kept so
     /// fault rescaling can find and move the `releases` entry.
@@ -163,48 +163,14 @@ pub struct Network {
     transfers_delivered: u64,
     /// High-water mark of concurrently started (on-wire) transfers.
     peak_in_flight: usize,
-    /// When enabled, completed wire occupancies.
-    trace: Option<Vec<WireSpan>>,
-    /// When enabled, full transfer lifecycles for causal tracing.
-    xray: Option<Vec<WireXrayRecord>>,
     /// Accumulated wire-busy time per uplink, for utilisation accounting.
     up_busy: Vec<SimTime>,
     /// Accumulated wire-busy time per downlink.
     down_busy: Vec<SimTime>,
-    /// `Some` only while metrics recording is enabled.
-    telem: Option<NetTelemetry>,
-    /// `Some` only while the scope bus records NIC-utilisation windows.
-    scope: Option<Box<ScopeUtil>>,
-    /// `Some` only while link-contention recording is enabled.
-    contention: Option<Box<ContentionRecorder>>,
+    /// `Some` only while something is recorded.
+    probe: Option<Box<WireProbe>>,
     /// `Some` only once a fault hook has been exercised.
     faults: Option<Box<FaultState>>,
-}
-
-/// Metric series for the FIFO fabric; each NIC direction is busy (1) or
-/// idle (0), so the per-port utilisation series integrates to exactly the
-/// accumulated wire-busy time.
-#[derive(Clone, Debug)]
-struct NetTelemetry {
-    up_util: Vec<TimeSeries>,
-    down_util: Vec<TimeSeries>,
-    /// Transfers currently occupying wires.
-    active: TimeSeries,
-    /// Transfers submitted but not yet on the wire.
-    queued: TimeSeries,
-}
-
-impl NetTelemetry {
-    fn new(now: SimTime, num_nodes: usize) -> NetTelemetry {
-        let mut zero = TimeSeries::new();
-        zero.record(now, 0.0);
-        NetTelemetry {
-            up_util: vec![zero.clone(); num_nodes],
-            down_util: vec![zero.clone(); num_nodes],
-            active: zero.clone(),
-            queued: zero,
-        }
-    }
 }
 
 impl Network {
@@ -225,86 +191,34 @@ impl Network {
             bytes_delivered: 0,
             transfers_delivered: 0,
             peak_in_flight: 0,
-            trace: None,
-            xray: None,
             up_busy: vec![SimTime::ZERO; num_nodes],
             down_busy: vec![SimTime::ZERO; num_nodes],
-            telem: None,
-            scope: None,
-            contention: None,
+            probe: None,
             faults: None,
         }
     }
 
-    /// Starts recording per-port utilisation and queue-depth series.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_telemetry(&mut self, now: SimTime) {
-        if self.telem.is_none() {
-            self.telem = Some(NetTelemetry::new(now, self.nics.len()));
-        }
-    }
-
-    /// Starts aggregating NIC utilisation into grid-aligned tumbling
-    /// windows of `window` for the scope bus, fed from the same record
-    /// sites as the telemetry series. Recording never changes fabric
-    /// behaviour.
-    pub fn enable_scope(&mut self, now: SimTime, window: SimTime) {
-        if self.scope.is_none() {
-            self.scope = Some(Box::new(ScopeUtil::new(now, 2 * self.nics.len(), window)));
-        }
-    }
-
-    /// Integrates the scope windows up to `now` and closes the final
-    /// partial window (publish by draining afterwards).
-    pub fn finish_scope(&mut self, now: SimTime) {
-        if let Some(sc) = self.scope.as_mut() {
-            sc.finish(now);
-        }
+    /// Starts the recorders in `set` (see [`RecordSet`]), replacing any
+    /// earlier recording. Each NIC direction's utilisation is busy (1) or
+    /// idle (0), so a port's series integrates to exactly its accumulated
+    /// wire-busy time. Recording never changes fabric behaviour.
+    pub fn enable_recording(&mut self, now: SimTime, set: RecordSet) {
+        self.probe = WireProbe::new(now, self.nics.len(), FabricModel::SerialFifo, set);
     }
 
     /// Moves closed scope windows into `out`, oldest first.
     pub fn drain_scope_windows(&mut self, out: &mut Vec<ScopeWindow>) {
-        if let Some(sc) = self.scope.as_mut() {
-            sc.drain_into(out);
+        if let Some(p) = self.probe.as_mut() {
+            p.drain_scope_windows(out);
         }
     }
 
-    /// Takes the recorded metrics with summaries closed at `now`, or
-    /// `None` if telemetry was never enabled.
-    pub fn take_metrics(&mut self, now: SimTime) -> Option<MetricSet> {
-        let t = self.telem.take()?;
-        let mut set = MetricSet::new();
-        set.horizon = now;
-        set.counter("transfers_delivered", self.transfers_delivered);
-        set.counter("bytes_delivered", self.bytes_delivered);
-        set.series("active_transfers", t.active);
-        set.series("queued_transfers", t.queued);
-        for (i, s) in t.up_util.into_iter().enumerate() {
-            set.series(format!("nic{i}/up_util"), s);
-        }
-        for (i, s) in t.down_util.into_iter().enumerate() {
-            set.series(format!("nic{i}/down_util"), s);
-        }
-        Some(set)
-    }
-
-    /// Starts recording per-NIC-direction active-job sets and occupancy
-    /// spans; `job_of` maps a transfer tag to its job index. Recording
-    /// never changes fabric behaviour.
-    pub fn enable_contention(&mut self, now: SimTime, job_of: fn(u64) -> usize) {
-        if self.contention.is_none() {
-            self.contention = Some(Box::new(ContentionRecorder::new(
-                now,
-                self.nics.len(),
-                job_of,
-            )));
-        }
-    }
-
-    /// Drains the contention recording, or `None` if it was never
-    /// enabled.
-    pub fn take_contention(&mut self) -> Option<ContentionLog> {
-        self.contention.as_mut().map(|c| c.take())
+    /// Ends recording and takes everything recorded, with metric
+    /// summaries and the final scope window closed at `now`.
+    pub fn take_wire_log(&mut self, now: SimTime) -> WireLog {
+        self.probe.take().map_or_else(WireLog::default, |p| {
+            p.into_log(now, self.transfers_delivered, self.bytes_delivered)
+        })
     }
 
     /// Accumulated wire-busy time of every uplink (completed occupancies
@@ -316,30 +230,6 @@ impl Network {
     /// Accumulated wire-busy time of every downlink.
     pub fn downlink_busy(&self) -> &[SimTime] {
         &self.down_busy
-    }
-
-    /// Enables wire-occupancy span recording (see [`Self::take_trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// Drains the recorded spans: `(tag, src, dst, start, end)` per
-    /// completed wire occupancy, in release order.
-    pub fn take_trace(&mut self) -> Vec<WireSpan> {
-        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
-    /// Enables full-lifecycle transfer recording for causal tracing.
-    /// Recording never changes fabric behaviour.
-    pub fn enable_xray(&mut self) {
-        if self.xray.is_none() {
-            self.xray = Some(Vec::new());
-        }
-    }
-
-    /// Drains the recorded transfer lifecycles, in release order.
-    pub fn take_xray(&mut self) -> Vec<WireXrayRecord> {
-        self.xray.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// The network configuration.
@@ -401,11 +291,8 @@ impl Network {
             eff: 1.0,
         });
         self.nics[src.0].up_queues[dst.0].push_back(id);
-        if let Some(t) = self.telem.as_mut() {
-            t.queued.step(now, 1.0);
-        }
-        if let Some(c) = self.contention.as_mut() {
-            c.on_submit(now, src.0, dst.0, tag);
+        if let Some(p) = self.probe.as_mut() {
+            p.submit(now, src.0, dst.0, tag);
         }
         self.try_start(now, src);
         id
@@ -466,43 +353,20 @@ impl Network {
                 self.next_event.set(None);
                 let tr = &self.transfers[id.0 as usize];
                 let (src, dst, bytes, tag) = (tr.src, tr.dst, tr.bytes, tr.tag);
+                let (submitted_at, started_at) = (tr.submitted_at, tr.started_at);
                 debug_assert_eq!(self.nics[src.0].up_current, Some(id));
                 debug_assert_eq!(self.nics[dst.0].down_current, Some(id));
                 self.nics[src.0].up_current = None;
                 self.nics[dst.0].down_current = None;
                 let popped = self.nics[src.0].up_queues[dst.0].pop_front();
                 debug_assert_eq!(popped, Some(id));
-                let occ = t.saturating_sub(self.transfers[id.0 as usize].started_at);
+                let occ = t.saturating_sub(started_at);
                 self.up_busy[src.0] += occ;
                 self.down_busy[dst.0] += occ;
-                if let Some(trace) = &mut self.trace {
-                    let started_at = self.transfers[id.0 as usize].started_at;
-                    trace.push((tag, src.0, dst.0, started_at, t));
-                }
-                if let Some(xray) = &mut self.xray {
-                    let tr = &self.transfers[id.0 as usize];
-                    xray.push((
-                        tag,
-                        src.0,
-                        dst.0,
-                        tr.submitted_at,
-                        tr.started_at,
-                        t,
-                        t + self.cfg.transport.latency,
-                    ));
-                }
-                if let Some(te) = self.telem.as_mut() {
-                    te.active.step(t, -1.0);
-                    te.up_util[src.0].record(t, 0.0);
-                    te.down_util[dst.0].record(t, 0.0);
-                }
-                if let Some(sc) = self.scope.as_mut() {
-                    sc.record(t, src.0, 0.0);
-                    sc.record(t, self.nics.len() + dst.0, 0.0);
-                }
-                if let Some(c) = self.contention.as_mut() {
-                    let started_at = self.transfers[id.0 as usize].started_at;
-                    c.on_wire(src.0, dst.0, tag, bytes, started_at, t);
+                if let Some(p) = self.probe.as_mut() {
+                    let deliver = t + self.cfg.transport.latency;
+                    let rec = (tag, src.0, dst.0, submitted_at, started_at, t, deliver);
+                    p.wire_end(rec, bytes);
                 }
                 self.try_start(t, src);
                 self.serve_down_waiters(t, dst);
@@ -524,11 +388,9 @@ impl Network {
                 let tr = &self.transfers[id.0 as usize];
                 self.bytes_delivered += tr.bytes;
                 self.transfers_delivered += 1;
-                if let Some(c) = self.contention.as_mut() {
-                    let (src, dst, tag) = (tr.src.0, tr.dst.0, tr.tag);
-                    c.on_delivered(t, src, dst, tag);
+                if let Some(p) = self.probe.as_mut() {
+                    p.delivered(t, tr.src.0, tr.dst.0, tr.tag);
                 }
-                let tr = &self.transfers[id.0 as usize];
                 done.push(NetEvent::Delivered(CompletedTransfer {
                     id,
                     src: tr.src,
@@ -651,15 +513,8 @@ impl Network {
         self.deliveries.insert((deliver, id));
         self.next_event.set(None);
         self.peak_in_flight = self.peak_in_flight.max(self.releases.len());
-        if let Some(t) = self.telem.as_mut() {
-            t.queued.step(now, -1.0);
-            t.active.step(now, 1.0);
-            t.up_util[src.0].record(now, 1.0);
-            t.down_util[dst.0].record(now, 1.0);
-        }
-        if let Some(sc) = self.scope.as_mut() {
-            sc.record(now, src.0, 1.0);
-            sc.record(now, self.nics.len() + dst.0, 1.0);
+        if let Some(p) = self.probe.as_mut() {
+            p.wire_start(now, src.0, dst.0);
         }
     }
 
@@ -748,79 +603,12 @@ impl Network {
     /// Queued transfers stay queued until [`Self::revive_port`].
     pub fn kill_port(&mut self, now: SimTime, node: NodeId) -> Vec<DroppedTransfer> {
         self.fault_state().down[node.0] = true;
-        let victims: Vec<TransferId> =
-            [self.nics[node.0].up_current, self.nics[node.0].down_current]
-                .into_iter()
-                .flatten()
-                .collect();
-        let mut dropped = Vec::with_capacity(victims.len());
-        for id in victims {
-            let (src, dst, bytes, tag, started_at, release_at, deliver_at) = {
-                let t = &self.transfers[id.0 as usize];
-                (
-                    t.src,
-                    t.dst,
-                    t.bytes,
-                    t.tag,
-                    t.started_at,
-                    t.release_at,
-                    t.deliver_at,
-                )
-            };
-            let had_release = self.releases.remove(&(release_at, id));
-            let had_delivery = self.deliveries.remove(&(deliver_at, id));
-            debug_assert!(
-                had_release && had_delivery,
-                "on-wire victim must be scheduled"
-            );
-            self.nics[src.0].up_current = None;
-            self.nics[dst.0].down_current = None;
-            let popped = self.nics[src.0].up_queues[dst.0].pop_front();
-            debug_assert_eq!(popped, Some(id));
-            // The aborted occupancy still held the wire until now.
-            let occ = now.saturating_sub(started_at);
-            self.up_busy[src.0] += occ;
-            self.down_busy[dst.0] += occ;
-            if let Some(trace) = &mut self.trace {
-                trace.push((tag, src.0, dst.0, started_at, now));
-            }
-            if let Some(xray) = &mut self.xray {
-                // A killed transfer releases and "delivers" (dies) at now;
-                // the retransmit shows up as a separate record.
-                xray.push((
-                    tag,
-                    src.0,
-                    dst.0,
-                    self.transfers[id.0 as usize].submitted_at,
-                    started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(te) = self.telem.as_mut() {
-                te.active.step(now, -1.0);
-                te.up_util[src.0].record(now, 0.0);
-                te.down_util[dst.0].record(now, 0.0);
-            }
-            if let Some(sc) = self.scope.as_mut() {
-                sc.record(now, src.0, 0.0);
-                sc.record(now, self.nics.len() + dst.0, 0.0);
-            }
-            if let Some(c) = self.contention.as_mut() {
-                c.on_wire(src.0, dst.0, tag, bytes, started_at, now);
-                c.on_dropped(now, src.0, dst.0, tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag,
-                src,
-                dst,
-                bytes,
-            });
-            // The surviving side's port freed: let it take other work
-            // (guards skip the down node).
-            self.try_start(now, src);
-            self.serve_down_waiters(now, dst);
-        }
+        let victims = [self.nics[node.0].up_current, self.nics[node.0].down_current];
+        let dropped = victims
+            .into_iter()
+            .flatten()
+            .map(|id| self.abort(now, id))
+            .collect();
         self.next_event.set(None);
         dropped
     }
@@ -842,23 +630,12 @@ impl Network {
         for src in 0..self.nics.len() {
             for dst in 0..self.nics.len() {
                 let mut q = std::mem::take(&mut self.nics[src].up_queues[dst]);
-                q.retain(|id| {
+                q.retain(|&id| {
                     let t = &self.transfers[id.0 as usize];
                     if t.started || !pred(t.tag) {
                         return true;
                     }
-                    if let Some(te) = self.telem.as_mut() {
-                        te.queued.step(now, -1.0);
-                    }
-                    if let Some(c) = self.contention.as_mut() {
-                        c.on_dropped(now, t.src.0, t.dst.0, t.tag);
-                    }
-                    dropped.push(DroppedTransfer {
-                        tag: t.tag,
-                        src: t.src,
-                        dst: t.dst,
-                        bytes: t.bytes,
-                    });
+                    dropped.push(self.abort(now, id));
                     false
                 });
                 self.nics[src].up_queues[dst] = q;
@@ -873,20 +650,42 @@ impl Network {
             .filter(|id| pred(self.transfers[id.0 as usize].tag))
             .collect();
         for id in victims {
-            let (src, dst, bytes, tag, started_at, release_at, deliver_at) = {
-                let t = &self.transfers[id.0 as usize];
-                (
-                    t.src,
-                    t.dst,
-                    t.bytes,
-                    t.tag,
-                    t.started_at,
-                    t.release_at,
-                    t.deliver_at,
-                )
-            };
-            let had_release = self.releases.remove(&(release_at, id));
-            let had_delivery = self.deliveries.remove(&(deliver_at, id));
+            dropped.push(self.abort(now, id));
+        }
+        // Latency-phase transfers (past wire release): their deliveries
+        // simply never fire.
+        let purge: Vec<TransferId> = self
+            .deliveries
+            .iter()
+            .filter(|(_, id)| pred(self.transfers[id.0 as usize].tag))
+            .map(|&(_, id)| id)
+            .collect();
+        for id in purge {
+            dropped.push(self.abort(now, id));
+        }
+        self.next_event.set(None);
+        dropped
+    }
+
+    /// Drops pending transfer `id` at `now` and reports it; the fabric's
+    /// one drop record site. A queued transfer must already be unlinked
+    /// from its connection queue. An on-wire one frees its two ports, and
+    /// their surviving sides take other work at once (the guards skip a
+    /// down node). One in its latency phase just never delivers.
+    fn abort(&mut self, now: SimTime, id: TransferId) -> DroppedTransfer {
+        let t = &self.transfers[id.0 as usize];
+        let (src, dst, started) = (t.src, t.dst, t.started);
+        let (submitted_at, started_at) = (t.submitted_at, t.started_at);
+        let d = DroppedTransfer {
+            tag: t.tag,
+            src,
+            dst,
+            bytes: t.bytes,
+        };
+        let on_wire = started && self.nics[src.0].up_current == Some(id);
+        if on_wire {
+            let had_release = self.releases.remove(&(t.release_at, id));
+            let had_delivery = self.deliveries.remove(&(t.deliver_at, id));
             debug_assert!(
                 had_release && had_delivery,
                 "on-wire victim must be scheduled"
@@ -895,68 +694,28 @@ impl Network {
             self.nics[dst.0].down_current = None;
             let popped = self.nics[src.0].up_queues[dst.0].pop_front();
             debug_assert_eq!(popped, Some(id));
+            // The aborted occupancy still held the wire until now.
             let occ = now.saturating_sub(started_at);
             self.up_busy[src.0] += occ;
             self.down_busy[dst.0] += occ;
-            if let Some(trace) = &mut self.trace {
-                trace.push((tag, src.0, dst.0, started_at, now));
+        } else if started {
+            let had_delivery = self.deliveries.remove(&(t.deliver_at, id));
+            debug_assert!(had_delivery, "latency-phase victim must be scheduled");
+        }
+        if let Some(p) = self.probe.as_mut() {
+            if on_wire {
+                // A killed transfer releases and "delivers" (dies) at now;
+                // the retransmit shows up as a separate record.
+                let rec = (d.tag, src.0, dst.0, submitted_at, started_at, now, now);
+                p.wire_end(rec, d.bytes);
             }
-            if let Some(xray) = &mut self.xray {
-                xray.push((
-                    tag,
-                    src.0,
-                    dst.0,
-                    self.transfers[id.0 as usize].submitted_at,
-                    started_at,
-                    now,
-                    now,
-                ));
-            }
-            if let Some(te) = self.telem.as_mut() {
-                te.active.step(now, -1.0);
-                te.up_util[src.0].record(now, 0.0);
-                te.down_util[dst.0].record(now, 0.0);
-            }
-            if let Some(sc) = self.scope.as_mut() {
-                sc.record(now, src.0, 0.0);
-                sc.record(now, self.nics.len() + dst.0, 0.0);
-            }
-            if let Some(c) = self.contention.as_mut() {
-                c.on_wire(src.0, dst.0, tag, bytes, started_at, now);
-                c.on_dropped(now, src.0, dst.0, tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag,
-                src,
-                dst,
-                bytes,
-            });
+            p.dropped(now, src.0, dst.0, d.tag, !started);
+        }
+        if on_wire {
             self.try_start(now, src);
             self.serve_down_waiters(now, dst);
         }
-        // Latency-phase transfers (past wire release): their deliveries
-        // simply never fire.
-        let purge: Vec<(SimTime, TransferId)> = self
-            .deliveries
-            .iter()
-            .filter(|(_, id)| pred(self.transfers[id.0 as usize].tag))
-            .copied()
-            .collect();
-        for (t, id) in purge {
-            self.deliveries.remove(&(t, id));
-            let tr = &self.transfers[id.0 as usize];
-            if let Some(c) = self.contention.as_mut() {
-                c.on_dropped(now, tr.src.0, tr.dst.0, tr.tag);
-            }
-            dropped.push(DroppedTransfer {
-                tag: tr.tag,
-                src: tr.src,
-                dst: tr.dst,
-                bytes: tr.bytes,
-            });
-        }
-        self.next_event.set(None);
-        dropped
+        d
     }
 
     /// Brings `node` back up at `now` and restarts service on every
@@ -1330,12 +1089,16 @@ mod tests {
     #[test]
     fn xray_records_full_transfer_lifecycle() {
         let mut n = net_lat(2);
-        n.enable_xray();
+        let lifecycles = RecordSet {
+            lifecycles: true,
+            ..RecordSet::default()
+        };
+        n.enable_recording(SimTime::ZERO, lifecycles);
         n.submit(SimTime::ZERO, NodeId(0), NodeId(1), mb(1), 1);
         n.submit(SimTime::ZERO, NodeId(0), NodeId(1), mb(1), 2);
         drain(&mut n);
         let us = SimTime::from_micros;
-        let recs = n.take_xray();
+        let recs = n.take_wire_log(us(3_000)).lifecycles;
         // (tag, src, dst, submitted, wire_start, released, delivered):
         // the second message queued behind the first from submission at
         // t=0 until the port freed at 1.1 ms.
@@ -1346,7 +1109,10 @@ mod tests {
                 (2, 0, 1, us(0), us(1_100), us(2_200), us(2_600)),
             ]
         );
-        assert!(n.take_xray().is_empty(), "take drains the recorder");
+        assert!(
+            n.take_wire_log(us(3_000)).lifecycles.is_empty(),
+            "take ends recording"
+        );
     }
 
     #[test]

@@ -91,7 +91,7 @@ pub trait NetPort {
     }
 
     /// Moves closed scope NIC-utilisation windows into `out`, oldest
-    /// first (observation only; no-op unless `enable_scope` was called on
+    /// first (observation only; no-op unless scope recording was enabled on
     /// a real fabric — a `SubmitLog` records no windows).
     fn drain_scope_windows(&mut self, _out: &mut Vec<ScopeWindow>) {}
 }

@@ -3,17 +3,17 @@
 //! bs-telemetry records per-direction utilisation as full time series and
 //! summarises them after the run; the scope bus needs the opposite shape
 //! — a bounded stream of pre-aggregated windows it can surface *during*
-//! the run. [`ScopeUtil`] is fed from the exact same record sites the
-//! fabric telemetry uses (FIFO wire start/release/drop, fluid
-//! reallocation), so a window's `util_secs` integrates the identical
-//! piecewise-constant utilisation function the telemetry series describe:
-//! the sum of windowed integrals equals the sum of
-//! `TimeSeries::integral_secs` over every port direction (up to float
-//! associativity from splitting segments at window boundaries — pinned by
-//! proptest in `tests/scope_schema.rs`).
+//! the run. [`ScopeUtil`] is one of the wire probe's sinks
+//! ([`crate::probe`]) and hears the same events as the telemetry sink
+//! (FIFO wire start and end, fluid reallocation), so a window's
+//! `util_secs` integrates the identical piecewise-constant utilisation
+//! function the telemetry series describe: the sum of windowed integrals
+//! equals the sum of `TimeSeries::integral_secs` over every port
+//! direction (up to float associativity from splitting segments at window
+//! boundaries — pinned by proptest in `tests/scope_schema.rs`).
 //!
-//! Like the telemetry it mirrors, this is recording-only: values flow in,
-//! nothing flows back into the allocator.
+//! Like every probe sink, this is recording-only: values flow in, nothing
+//! flows back into the allocator.
 
 use bs_sim::SimTime;
 
@@ -110,8 +110,7 @@ impl ScopeUtil {
         self.acc = 0.0;
     }
 
-    /// Records direction `slot` switching to utilisation `v` at `now` —
-    /// called from the same sites that feed the fabric telemetry series.
+    /// Records direction `slot` switching to utilisation `v` at `now`.
     pub(crate) fn record(&mut self, now: SimTime, slot: usize, v: f64) {
         self.advance(now);
         self.load += v - self.vals[slot];

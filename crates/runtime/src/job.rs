@@ -18,7 +18,7 @@ use bs_core::{
 };
 use bs_engine::{EngineEvent, ExternalRole, IterDag, NodeKind, Pass, WorkerEngine};
 use bs_faults::{job_seed, FaultInjector, FaultPlan, LinkChange, LinkDir};
-use bs_net::{DroppedTransfer, NetEvent, NetPort, NodeId, WireSpan, WireXrayRecord};
+use bs_net::{DroppedTransfer, NetEvent, NetPort, NodeId, WireLog, WireSpan, WireXrayRecord};
 use bs_scope::{ScopeBus, ScopeEvent};
 use bs_sim::{SimRng, SimTime, Trace};
 use bs_telemetry::MetricSet;
@@ -283,6 +283,8 @@ struct JobXray {
     /// Job start (arrival) instant.
     start: SimTime,
     parts: Vec<PartRecord>,
+    /// Retired GPU ops, drained from the engines' span buffers.
+    compute: Vec<ComputeSpan>,
     /// token → index into `parts`.
     index: std::collections::HashMap<u64, usize>,
 }
@@ -501,10 +503,12 @@ impl JobState {
         let mut engines = engines;
         let mut backend = backend;
         let mut scheds = scheds;
-        if cfg.record_trace {
+        if cfg.record_trace || cfg.record_xray {
             for e in &mut engines {
-                e.enable_trace();
+                e.enable_spans();
             }
+        }
+        if cfg.record_trace {
             if let JobBackend::Ring { ring, .. } = &mut backend {
                 ring.enable_trace();
             }
@@ -518,9 +522,6 @@ impl JobState {
             }
         }
         let xray = cfg.record_xray.then(|| {
-            for e in &mut engines {
-                e.enable_xray();
-            }
             for s in &mut scheds {
                 s.enable_xray(arrival);
             }
@@ -531,6 +532,7 @@ impl JobState {
             JobXray {
                 start: arrival,
                 parts: Vec::new(),
+                compute: Vec::new(),
                 index: std::collections::HashMap::new(),
             }
         });
@@ -1536,10 +1538,6 @@ impl JobState {
         }
     }
 
-    /// Closes the job out into a [`RunResult`]. `net` carries the
-    /// point-to-point statistics the driver attributes to this job (the
-    /// solo driver passes fabric totals; a cluster driver passes per-job
-    /// counters); ring statistics come from the job's private stream.
     /// Flushes every instrumented subsystem into one [`MetricSet`] with
     /// summaries closed at `now`. Returns `None` when the job was built
     /// without `record_metrics`. Scheduler metrics get a `worker{w}/sched/`
@@ -1589,25 +1587,22 @@ impl JobState {
         }
     }
 
-    /// Fills the wire-lifecycle fields of this job's partition records
-    /// from fabric xray records. Tags must already be job-local (the
-    /// cluster driver strips the job namespace); co-tenant bursts are
-    /// skipped. Call before [`Self::into_result`] — and before appending
-    /// flow arrows — so the records are complete.
-    pub fn absorb_wire_xray(&mut self, recs: &[WireXrayRecord]) {
+    /// Fills the wire-lifecycle fields of this job's partition record
+    /// from one fabric lifecycle whose tag is already job-local.
+    /// Co-tenant bursts are skipped.
+    fn absorb_wire(&mut self, rec: &WireXrayRecord) {
         let Some(x) = self.xray.as_mut() else { return };
-        for &(tag, _src, _dst, submitted, started, released, delivered) in recs {
-            if is_burst_tag(tag) {
-                continue;
-            }
-            if let Some(&i) = x.index.get(&tag) {
-                let p = &mut x.parts[i];
-                p.wire_submit = submitted;
-                p.wire_start = started;
-                p.wire_end = released;
-                p.delivered = delivered;
-                p.wire_seen = true;
-            }
+        let &(tag, _src, _dst, submitted, started, released, delivered) = rec;
+        if is_burst_tag(tag) {
+            return;
+        }
+        if let Some(&i) = x.index.get(&tag) {
+            let p = &mut x.parts[i];
+            p.wire_submit = submitted;
+            p.wire_start = started;
+            p.wire_end = released;
+            p.delivered = delivered;
+            p.wire_seen = true;
         }
     }
 
@@ -1615,7 +1610,7 @@ impl JobState {
     /// push partition that reached the wire) to `trace`. The arrows bind
     /// to the compute and wire spans by track name, so call this with the
     /// same `prefix` the span appenders used.
-    pub fn append_xray_flows(&self, trace: &mut Trace, prefix: &str) {
+    fn append_xray_flows(&self, trace: &mut Trace, prefix: &str) {
         let Some(x) = &self.xray else { return };
         for p in &x.parts {
             if p.pull || !p.wire_seen {
@@ -1657,6 +1652,7 @@ impl JobState {
     /// Drains every xray buffer into one [`XrayLog`], or `None` when the
     /// job was built without `record_xray`.
     fn take_xray_log(&mut self, cfg: &WorldConfig, finished_at: SimTime) -> Option<XrayLog> {
+        self.drain_compute_spans(None);
         let x = self.xray.take()?;
         let mut log = XrayLog {
             scheduler: cfg.scheduler.label().to_string(),
@@ -1665,23 +1661,9 @@ impl JobState {
             warmup: cfg.warmup as usize,
             marks: self.marks.clone(),
             parts: x.parts,
+            compute: x.compute,
             ..XrayLog::default()
         };
-        for (w, engine) in self.engines.iter_mut().enumerate() {
-            let dag = engine.dag().clone();
-            for (iter, node, start, end) in engine.take_xray() {
-                if let NodeKind::Compute { layer, pass } = dag.nodes[node].kind {
-                    log.compute.push(ComputeSpan {
-                        worker: w,
-                        iter,
-                        layer: layer as u32,
-                        backward: matches!(pass, Pass::Backward),
-                        start,
-                        end,
-                    });
-                }
-            }
-        }
         for (s, sched) in self.scheds.iter_mut().enumerate() {
             if let Some(stalls) = sched.take_xray(finished_at) {
                 for (lane, start, end) in stalls {
@@ -1743,11 +1725,18 @@ impl JobState {
         Some(log)
     }
 
+    /// Closes the job out into a [`RunResult`]. `net` carries the
+    /// point-to-point statistics the driver attributes to this job (the
+    /// solo driver passes fabric totals; a cluster driver passes per-job
+    /// counters); ring statistics come from the job's private stream.
+    /// `metrics` is the job's [`Self::take_metrics`] set, taken by the
+    /// driver so fabric metrics can join it first.
     pub fn into_result(
         mut self,
         cfg: &WorldConfig,
         finished_at: SimTime,
         net: JobNetStats,
+        metrics: Option<MetricSet>,
     ) -> RunResult {
         if let Some(reason) = self.faults.as_ref().and_then(|f| f.failed.clone()) {
             // The run aborted before measuring anything; report the
@@ -1759,19 +1748,12 @@ impl JobState {
                 finished_at,
                 reason,
             );
-            result.metrics = cfg
-                .record_metrics
-                .then(|| self.take_metrics(finished_at))
-                .flatten();
+            result.metrics = metrics;
             return result;
         }
         let xray = self
             .take_xray_log(cfg, finished_at)
             .map(|log| XrayReport::build(&log));
-        let metrics = cfg
-            .record_metrics
-            .then(|| self.take_metrics(finished_at))
-            .flatten();
         let (p2p, coll, comm_events, peak_in_flight) = match &self.backend {
             JobBackend::Ps { .. } => (net.p2p_bytes, 0, net.comm_events, net.peak_in_flight),
             JobBackend::Ring { ring, .. } => (0, ring.bytes_reduced(), ring.ops_reduced(), 0),
@@ -1805,20 +1787,42 @@ impl JobState {
         result
     }
 
-    /// Appends this job's recorded compute spans to `trace`, with track
-    /// names prefixed by `prefix` (e.g. `"job0/"`).
-    pub fn append_compute_trace(&mut self, trace: &mut Trace, prefix: &str) {
+    /// Appends this job's compute, ring-collective and causal-flow spans
+    /// to `trace`, with track names prefixed by `prefix` (e.g. `"job0/"`).
+    fn append_trace(&mut self, trace: &mut Trace, prefix: &str) {
+        self.drain_compute_spans(Some((trace, prefix)));
+        self.append_ring_trace(trace, prefix);
+        self.append_xray_flows(trace, prefix);
+    }
+
+    /// Drains every engine's compute spans once, feeding both consumers:
+    /// the Chrome trace (when `trace` is given, tracks prefixed by its
+    /// prefix) and the xray log (when xray is on).
+    fn drain_compute_spans(&mut self, mut trace: Option<(&mut Trace, &str)>) {
         for (w, engine) in self.engines.iter_mut().enumerate() {
-            let dag = engine.dag().clone();
-            for (iter, node, start, end) in engine.take_trace() {
-                let name = match dag.nodes[node].kind {
-                    NodeKind::Compute { layer, pass } => match pass {
+            let spans = engine.take_spans();
+            let dag = engine.dag();
+            for (iter, node, start, end) in spans {
+                let NodeKind::Compute { layer, pass } = dag.nodes[node].kind else {
+                    continue;
+                };
+                if let Some((trace, prefix)) = trace.as_mut() {
+                    let name = match pass {
                         Pass::Forward => format!("fwd{layer}@it{iter}"),
                         Pass::Backward => format!("bwd{layer}@it{iter}"),
-                    },
-                    _ => continue,
-                };
-                trace.push(name, format!("{prefix}worker{w}/gpu"), start, end);
+                    };
+                    trace.push(name, format!("{prefix}worker{w}/gpu"), start, end);
+                }
+                if let Some(x) = self.xray.as_mut() {
+                    x.compute.push(ComputeSpan {
+                        worker: w,
+                        iter,
+                        layer: layer as u32,
+                        backward: matches!(pass, Pass::Backward),
+                        start,
+                        end,
+                    });
+                }
             }
         }
     }
@@ -1826,7 +1830,7 @@ impl JobState {
     /// Appends this job's recorded ring-collective spans to `trace`: the
     /// full op on the `ring` track plus its reduce-scatter and all-gather
     /// halves on phase-colored sub-tracks.
-    pub fn append_ring_trace(&mut self, trace: &mut Trace, prefix: &str) {
+    fn append_ring_trace(&mut self, trace: &mut Trace, prefix: &str) {
         if let JobBackend::Ring { ring, .. } = &mut self.backend {
             for (tag, start, rs_end, end) in ring.take_trace() {
                 // Scheduled batches and baseline fused batches both use
@@ -1883,11 +1887,64 @@ impl JobState {
     }
 }
 
+/// Drains what a driver's fabric recorded into the run's outputs; the
+/// single-job and the cluster driver share it.
+///
+/// 1. The transfer lifecycles are split by job — `demux` maps a fabric
+///    tag to its job index and job-local tag — and each training job
+///    (`jobs[j]`; `None` for a co-tenant burst source) absorbs its own.
+///    This comes first: flow arrows point at wire-start instants.
+/// 2. With `record_trace`, every job's compute, ring and flow spans are
+///    assembled under `prefix(j)`, and each lifecycle is projected onto
+///    its wire span `(tag, src, dst, wire_start, released)`.
+/// 3. The fabric metrics land in `metrics` under `net/`.
+/// 4. With both a trace and metrics, every series becomes a counter
+///    track.
+pub fn harvest_wire_log(
+    log: WireLog,
+    jobs: &mut [Option<&mut JobState>],
+    demux: fn(u64) -> (usize, u64),
+    prefix: fn(usize) -> String,
+    record_trace: bool,
+    metrics: &mut Option<MetricSet>,
+) -> Option<Trace> {
+    for &(tag, src, dst, submitted, started, released, delivered) in &log.lifecycles {
+        let (j, tag) = demux(tag);
+        if let Some(job) = &mut jobs[j] {
+            job.absorb_wire(&(tag, src, dst, submitted, started, released, delivered));
+        }
+    }
+    let mut trace = record_trace.then(|| {
+        let mut trace = Trace::new();
+        for (j, job) in jobs.iter_mut().enumerate() {
+            if let Some(job) = job {
+                job.append_trace(&mut trace, &prefix(j));
+            }
+        }
+        for &(tag, src, dst, _, started, released, _) in &log.lifecycles {
+            let (j, tag) = demux(tag);
+            wire_span_into_trace(&mut trace, &(tag, src, dst, started, released), &prefix(j));
+        }
+        trace
+    });
+    if let Some(fm) = log.metrics {
+        metrics
+            .get_or_insert_with(MetricSet::new)
+            .absorb("net/", fm);
+    }
+    if let (Some(trace), Some(ms)) = (trace.as_mut(), metrics.as_ref()) {
+        for t in ms.counter_tracks() {
+            trace.push_counter(t.name, t.samples);
+        }
+    }
+    trace
+}
+
 /// Names one wire span from its job-local tag, matching the single-job
 /// trace conventions: co-tenant bursts are labelled by node pair, subtask
 /// transfers by `(kind, tensor, partition, iteration)` on the owning
 /// worker's up/down track. Track names get `prefix` prepended.
-pub fn wire_span_into_trace(trace: &mut Trace, span: &WireSpan, prefix: &str) {
+fn wire_span_into_trace(trace: &mut Trace, span: &WireSpan, prefix: &str) {
     let (tag, src, dst, start, end) = *span;
     if is_burst_tag(tag) {
         trace.push(

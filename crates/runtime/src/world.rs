@@ -7,12 +7,12 @@
 //! `bs-cluster` multiplex many [`JobState`]s over one shared fabric with
 //! the same loop structure.
 
-use bs_net::{Fabric, NetPort, ScopeWindow};
+use bs_net::{Fabric, NetPort, RecordSet, ScopeWindow, WireLog};
 use bs_scope::{ScopeBus, ScopeEvent};
-use bs_sim::{SimTime, Trace};
+use bs_sim::SimTime;
 
 use crate::config::{Arch, WorldConfig};
-use crate::job::{wire_span_into_trace, JobEvent, JobNetStats, JobState, NodeMap};
+use crate::job::{harvest_wire_log, JobEvent, JobNetStats, JobState, NodeMap};
 use crate::result::RunResult;
 
 struct World {
@@ -37,26 +37,20 @@ pub fn run(cfg: &WorldConfig) -> RunResult {
 /// it never feeds back into simulation decisions, so the run's results,
 /// traces and metrics are byte-identical with or without a bus — the
 /// `scope_recording_does_not_change_results` test pins this.
-pub fn run_observed(cfg: &WorldConfig, scope: Option<&mut ScopeBus>) -> RunResult {
-    let mut world = World::build(cfg);
+pub fn run_observed(cfg: &WorldConfig, mut scope: Option<&mut ScopeBus>) -> RunResult {
+    let mut world = World::build(cfg, scope.as_deref().map(ScopeBus::window));
+    world.run_loop(scope.as_deref_mut());
+    let log = world.fabric.take_wire_log(world.now);
     if let Some(bus) = scope {
-        world.job.enable_scope(0, SimTime::ZERO);
-        world.fabric.enable_scope(SimTime::ZERO, bus.window());
-        world.run_loop(Some(bus));
-        // Close the stream: flush the fabric's partial window, any
+        // Close the stream: flush the fabric's final windows, any
         // straggling job events, then the bus's own open rollups.
-        world.fabric.finish_scope(world.now);
-        let mut wins = Vec::new();
-        world.fabric.drain_scope_windows(&mut wins);
-        for w in &wins {
+        for w in &log.scope_windows {
             bus.publish(net_window_event(w));
         }
         world.job.publish_scope(bus);
         bus.finish(world.now);
-    } else {
-        world.run_loop(None);
     }
-    world.into_result(cfg)
+    world.into_result(cfg, log)
 }
 
 /// Maps a fabric NIC-utilisation window onto its bus event.
@@ -171,21 +165,25 @@ fn debug_progress_line<P: NetPort>(job: &JobState, fabric: &P, now: SimTime, spi
 }
 
 impl World {
-    fn build(cfg: &WorldConfig) -> World {
+    /// Builds the job and its fabric; `scope` is the bus window when
+    /// the run is observed.
+    fn build(cfg: &WorldConfig, scope: Option<SimTime>) -> World {
         let nodes_needed = JobState::fabric_nodes_needed(cfg);
         // Ring runs keep their collective stream private and never touch
         // the point-to-point fabric; give them a minimal idle one.
         let mut fabric = Fabric::new(cfg.fabric, nodes_needed.max(2), cfg.net);
-        if cfg.record_trace && matches!(cfg.arch, Arch::Ps { .. }) {
-            fabric.enable_trace();
+        let ps = matches!(cfg.arch, Arch::Ps { .. });
+        let set = RecordSet {
+            lifecycles: ps && (cfg.record_trace || cfg.record_xray),
+            metrics: ps && cfg.record_metrics,
+            scope,
+            contention: None,
+        };
+        fabric.enable_recording(SimTime::ZERO, set);
+        let mut job = JobState::build(cfg, NodeMap::identity(nodes_needed));
+        if scope.is_some() {
+            job.enable_scope(0, SimTime::ZERO);
         }
-        if cfg.record_metrics && matches!(cfg.arch, Arch::Ps { .. }) {
-            fabric.enable_telemetry(SimTime::ZERO);
-        }
-        if cfg.record_xray && matches!(cfg.arch, Arch::Ps { .. }) {
-            fabric.enable_xray();
-        }
-        let job = JobState::build(cfg, NodeMap::identity(nodes_needed));
         World {
             job,
             fabric,
@@ -205,50 +203,28 @@ impl World {
         self.now = now;
     }
 
-    fn into_result(mut self, cfg: &WorldConfig) -> RunResult {
-        // Wire lifecycles must land in the partition records before the
-        // trace is assembled: flow arrows point at wire-start instants.
-        if cfg.record_xray {
-            let recs = self.fabric.take_xray();
-            self.job.absorb_wire_xray(&recs);
-        }
-        let trace = cfg.record_trace.then(|| self.assemble_trace());
+    fn into_result(mut self, cfg: &WorldConfig, log: WireLog) -> RunResult {
+        let mut metrics = cfg
+            .record_metrics
+            .then(|| self.job.take_metrics(self.now))
+            .flatten();
+        let trace = harvest_wire_log(
+            log,
+            &mut [Some(&mut self.job)],
+            |tag| (0, tag),
+            |_| String::new(),
+            cfg.record_trace,
+            &mut metrics,
+        );
         let net = JobNetStats {
             p2p_bytes: self.fabric.bytes_delivered(),
             comm_events: self.fabric.transfers_delivered(),
             peak_in_flight: self.fabric.peak_in_flight(),
             peak_port_utilisation: self.fabric.peak_port_utilisation(self.now),
         };
-        let fabric_metrics = self.fabric.take_metrics(self.now);
-        let mut result = self.job.into_result(cfg, self.now, net);
+        let mut result = self.job.into_result(cfg, self.now, net, metrics);
         result.trace = trace;
-        if let Some(fm) = fabric_metrics {
-            result
-                .metrics
-                .get_or_insert_with(bs_telemetry::MetricSet::new)
-                .absorb("net/", fm);
-        }
-        // With both recorders on, the run's series double as Perfetto
-        // counter tracks alongside the span trace.
-        if let (Some(trace), Some(ms)) = (&mut result.trace, &result.metrics) {
-            for t in ms.counter_tracks() {
-                trace.push_counter(t.name, t.samples);
-            }
-        }
         result
-    }
-
-    /// Collects the recorded spans from every subsystem into one trace
-    /// with human-readable track and span names.
-    fn assemble_trace(&mut self) -> Trace {
-        let mut trace = Trace::new();
-        self.job.append_compute_trace(&mut trace, "");
-        for span in self.fabric.take_trace() {
-            wire_span_into_trace(&mut trace, &span, "");
-        }
-        self.job.append_ring_trace(&mut trace, "");
-        self.job.append_xray_flows(&mut trace, "");
-        trace
     }
 }
 

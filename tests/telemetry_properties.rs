@@ -8,7 +8,9 @@
 //! exactly for the FIFO fabric's 0/1 busy series, and up to f64 rate
 //! accumulation for the fluid fabric's allocated-rate fraction.
 
-use bytescheduler::net::{Fabric, FabricModel, NetConfig, NetEvent, NodeId, Transport};
+use bytescheduler::net::{
+    Fabric, FabricModel, NetConfig, NetEvent, NetPort, NodeId, RecordSet, Transport,
+};
 use bytescheduler::sim::SimTime;
 use bytescheduler::telemetry::MetricSet;
 use proptest::prelude::*;
@@ -23,7 +25,11 @@ fn run_workload(
 ) -> (MetricSet, [u64; NODES], [u64; NODES]) {
     let cfg = NetConfig::gbps(8.0, Transport::ideal()); // 1e9 B/s
     let mut fabric = Fabric::new(model, NODES, cfg);
-    fabric.enable_telemetry(SimTime::ZERO);
+    let metrics = RecordSet {
+        metrics: true,
+        ..RecordSet::default()
+    };
+    fabric.enable_recording(SimTime::ZERO, metrics);
     let mut sent = [0u64; NODES];
     let mut recv = [0u64; NODES];
     let mut events: Vec<NetEvent> = Vec::new();
@@ -60,7 +66,10 @@ fn run_workload(
         guard += 1;
         assert!(guard < 2_000_000, "fabric did not drain");
     }
-    let ms = fabric.take_metrics(end).expect("telemetry enabled");
+    let ms = fabric
+        .take_wire_log(end)
+        .metrics
+        .expect("telemetry enabled");
     (ms, sent, recv)
 }
 
